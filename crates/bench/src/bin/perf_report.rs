@@ -2,8 +2,10 @@
 //!
 //! Times the canonical hot kernels (the `Medium` block step at several
 //! antenna counts, FSK modulation/demodulation, one full relayed exchange,
-//! a quick Fig. 9 run) plus the supporting micro-kernels, and prints a
-//! machine-readable JSON report to stdout (and optionally a file).
+//! a quick Fig. 9 run) plus the supporting micro-kernels (FFT, Welch PSD,
+//! noise, oscillators, the Monte-Carlo engine's own overhead), and prints
+//! a machine-readable JSON report to stdout (and optionally a file). It is
+//! the repo's only kernel harness.
 //!
 //! Usage:
 //!
@@ -284,6 +286,34 @@ fn main() {
         ));
     }
     {
+        let plan = hb_dsp::fft::FftPlan::new(256);
+        let data = hb_dsp::noise::white_noise(&mut StdRng::seed_from_u64(1), 256, 1.0);
+        let mut buf = data.clone();
+        timings.push(time_kernel(
+            "fft_256",
+            "one 256-point forward FFT (the shield's jam-profile size)",
+            2_000 * scale,
+            move || {
+                buf.copy_from_slice(&data);
+                plan.forward(&mut buf);
+                std::hint::black_box(buf[0]);
+            },
+        ));
+    }
+    {
+        let sig = hb_dsp::noise::white_noise(&mut StdRng::seed_from_u64(3), 16_384, 1.0);
+        timings.push(time_kernel(
+            "welch_psd_16k",
+            "Welch PSD of 16384 samples, 256-bin Hann segments",
+            20 * scale,
+            move || {
+                let psd =
+                    hb_dsp::spectrum::welch_psd(&sig, 256, hb_dsp::window::Window::Hann, 300e3);
+                std::hint::black_box(psd);
+            },
+        ));
+    }
+    {
         let mut rng = StdRng::seed_from_u64(3);
         timings.push(time_kernel(
             "white_noise_4k",
@@ -346,7 +376,7 @@ fn main() {
         // and Wilson-interval evaluation from simulation cost. This is the
         // fixed tax every adaptive experiment pays per data point — it
         // must stay negligible next to one real exchange (~ms).
-        use hb_testbed::montecarlo::{adaptive_proportions_with, McConfig};
+        use hb_testbed::montecarlo::{McConfig, Runner};
         let cfg = McConfig {
             initial_trials: 64,
             max_trials: 4096,
@@ -359,7 +389,7 @@ fn main() {
             "4096-trial adaptive run (no-op trials): engine overhead only",
             20 * scale,
             move || {
-                let run = adaptive_proportions_with(1, &cfg, 11, |s| [(s & 1, 1), (s & 2, 2)]);
+                let run = Runner::new(1).proportions(&cfg, 11, |s| [(s & 1, 1), (s & 2, 2)]);
                 std::hint::black_box(run.estimates[0].ci_hi);
             },
         ));
@@ -373,7 +403,7 @@ fn main() {
         // per trial: a real data point simulates hundreds of ~ms
         // exchanges, so the tax must stay well under a percent of that.
         use hb_testbed::checkpoint::RunCtl;
-        use hb_testbed::montecarlo::{adaptive_proportions_ctl, McConfig};
+        use hb_testbed::montecarlo::{McConfig, Runner};
         let cfg = McConfig {
             initial_trials: 64,
             max_trials: 4096,
@@ -391,10 +421,8 @@ fn main() {
                 let dir = dir.clone();
                 move || {
                     let ctl = RunCtl::new(Some(dir.clone()), false, None);
-                    let run: hb_testbed::montecarlo::McRun<2> =
-                        adaptive_proportions_ctl(1, &cfg, 11, Some(&ctl), |s| {
-                            [(s & 1, 1), (s & 2, 2)]
-                        });
+                    let run: hb_testbed::montecarlo::McRun<2> = Runner::with_ctl(1, Some(&ctl))
+                        .proportions(&cfg, 11, |s| [(s & 1, 1), (s & 2, 2)]);
                     std::hint::black_box(run.estimates[0].ci_hi);
                 }
             },

@@ -2,22 +2,14 @@
 //!
 //! Two binaries live under `src/bin/`:
 //!
-//! * `perf_report` — the tracked-benchmark harness behind
-//!   `scripts/bench.sh` (`results/BENCH_*.json`).
+//! * `perf_report` — the kernel benchmark harness behind
+//!   `scripts/bench.sh` (`results/BENCH_*.json`): the `Medium` block step,
+//!   the FSK modem, detector stages, FFT and Welch PSD, noise and
+//!   oscillators, the Monte-Carlo engine's overhead, and whole relayed
+//!   exchanges.
 //! * `hb_eval` — the experiment-registry CLI: `--list`, `run <name>...`,
 //!   `--all`, with `--effort`/`--seed`/`--threads` and
-//!   `--format text|csv|json` artifacts written under `results/`.
-//!
-//! Criterion benches live under `benches/`:
-//!
-//! * `dsp_micro` — FFT, shaped-noise generation, Welch PSD, filtering.
-//! * `phy_micro` — FSK modulation/demodulation, streaming detection,
-//!   Sid matching.
-//! * `shield_micro` — antidote computation, jam generation, a full
-//!   relay-exchange simulation step.
-//! * `experiments` — one benchmark per paper table/figure, each running a
-//!   reduced-effort version of the corresponding experiment and asserting
-//!   its headline property, so `cargo bench` regenerates the whole
-//!   evaluation (see EXPERIMENTS.md for paper-scale runs).
+//!   `--format text|csv|json` artifacts written under `results/`. Its
+//!   `--effort full` runs are the paper-scale evaluation.
 
 #![forbid(unsafe_code)]

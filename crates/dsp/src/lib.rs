@@ -7,8 +7,6 @@
 //! Everything operates on [`complex::C64`] baseband samples:
 //!
 //! * [`fft`] — radix-2 FFT/IFFT with cached plans.
-//! * [`fir`] — windowed-sinc filter design and streaming filters (the
-//!   shield's channelizer and the eavesdropper's band-pass attack).
 //! * [`goertzel`] — single-bin DFT (the FSK tone matched filter).
 //! * [`correlator`] — the blocked multi-phase matched-filter correlator
 //!   behind `hb_phy`'s streaming detector and Sid monitor (dense,
@@ -36,7 +34,6 @@ pub mod checksum;
 pub mod complex;
 pub mod correlator;
 pub mod fft;
-pub mod fir;
 pub mod goertzel;
 pub mod kernels;
 pub mod noise;

@@ -3,7 +3,6 @@
 use hb_dsp::cfo::{apply_cfo, correct_cfo};
 use hb_dsp::complex::{inner_product, mean_power, C64};
 use hb_dsp::fft::{fft, ifft, next_pow2, FftPlan};
-use hb_dsp::fir::{convolve_real, design_lowpass, StreamingFir};
 use hb_dsp::goertzel::{goertzel, tone_correlate};
 use hb_dsp::kernels::{ln_batch, sincos_turns_batch};
 use hb_dsp::noise::NoiseSource;
@@ -75,33 +74,6 @@ proptest! {
         let g = goertzel(&x, f, 300e3);
         let d = tone_correlate(&x, f, 300e3);
         prop_assert!((g - d).abs() < 1e-5 * (1.0 + d.abs()));
-    }
-
-    /// Convolution is linear in the signal.
-    #[test]
-    fn convolution_linearity(x in sig_strategy(48), scale in -4.0f64..4.0) {
-        let taps = design_lowpass(40e3, 300e3, 15, Window::Hamming);
-        let scaled: Vec<C64> = x.iter().map(|&s| s.scale(scale)).collect();
-        let y1 = convolve_real(&scaled, &taps);
-        let y0 = convolve_real(&x, &taps);
-        for (a, b) in y1.iter().zip(&y0) {
-            prop_assert!((*a - b.scale(scale)).abs() < 1e-6 * (1.0 + b.abs()));
-        }
-    }
-
-    /// Streaming filtering equals batch convolution regardless of chunking.
-    #[test]
-    fn streaming_equals_batch(x in sig_strategy(96), chunk in 1usize..32) {
-        let taps = design_lowpass(50e3, 300e3, 11, Window::Hann);
-        let batch = convolve_real(&x, &taps);
-        let mut f = StreamingFir::from_real(&taps);
-        let mut out = Vec::new();
-        for c in x.chunks(chunk) {
-            out.extend(f.process(c));
-        }
-        for i in 0..x.len() {
-            prop_assert!((out[i] - batch[i]).abs() < 1e-9);
-        }
     }
 
     /// CFO application is invertible.

@@ -9,14 +9,13 @@
 //! * **Turn-around profile** — software (270 µs) vs hardware (10 µs)
 //!   implementation, measured at the jam-release point.
 
-use crate::montecarlo::{self, Estimate, McConfig};
+use crate::montecarlo::{self, Estimate, McConfig, Runner};
 use crate::report::{Artifact, Series};
-use crate::scenario::{ScenarioBuilder, ScenarioConfig};
-use hb_adversary::eavesdropper::Eavesdropper;
+use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_imd::commands::Command;
 use hb_shield::jamsignal::JamSignal;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop, relay_one_exchange, Effort};
 
 /// Exchanges per adaptive trial (fresh scenario per trial — see
 /// [`super::fig8`]).
@@ -59,19 +58,7 @@ fn jam_trial(flat: bool, seed: u64) -> (u64, u64) {
             .unwrap()
             .set_jammer(JamSignal::flat(fft));
     }
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    let mut errors = 0u64;
-    let mut total = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as u64;
-            total += record.bits.len() as u64;
-        }
-        eve.clear();
-    }
-    (errors.min(total), total)
+    eavesdrop(&mut scenario, eve_ant, PACKETS_PER_TRIAL).counts()
 }
 
 /// Runs the shaped-vs-flat ablation through the adaptive engine (both
@@ -80,9 +67,11 @@ fn jam_trial(flat: bool, seed: u64) -> (u64, u64) {
 pub fn jam_shape(effort: Effort, seed: u64) -> JamShapeAblation {
     let cfg = McConfig::from_effort(&effort);
     let arms: Vec<Estimate> = crate::parallel::parallel_map(&[false, true], |i, &flat| {
-        montecarlo::adaptive_proportion_with(1, &cfg, montecarlo::trial_seed(seed, i as u64), |s| {
-            jam_trial(flat, s)
-        })
+        Runner::new(1)
+            .proportions(&cfg, montecarlo::trial_seed(seed, i as u64), |s| {
+                [jam_trial(flat, s)]
+            })
+            .estimates[0]
     });
     let (shaped_est, flat_est) = (arms[0], arms[1]);
     let (ber_shaped, ber_flat) = (shaped_est.mean, flat_est.mean);
@@ -109,6 +98,14 @@ pub fn jam_shape(effort: Effort, seed: u64) -> JamShapeAblation {
     }
 }
 
+/// Shield packet loss over the scenario so far: the share of IMD replies
+/// the shield failed to decode.
+fn shield_per(scenario: &Scenario) -> f64 {
+    let sent = scenario.imd.stats.responses_sent.max(1);
+    let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
+    1.0 - ok as f64 / sent as f64
+}
+
 /// Cancellation-sweep result.
 #[derive(Debug, Clone)]
 pub struct CancellationAblation {
@@ -121,41 +118,27 @@ pub struct CancellationAblation {
 /// Sweeps the achievable cancellation and measures shield PER (sweep
 /// points in parallel, seeds pre-derived per point).
 pub fn cancellation_sweep(effort: Effort, seed: u64) -> CancellationAblation {
+    // The scenario's shield tweak is a plain fn pointer, so each
+    // cancellation depth is its own instance of one const-generic setter.
+    fn set_g<const DB: u8>(c: &mut hb_shield::shield::ShieldConfig) {
+        c.est_snr_db = DB as f64;
+    }
     let gs = [20.0, 24.0, 28.0, 32.0, 38.0];
+    let tweaks = [
+        set_g::<20>,
+        set_g::<24>,
+        set_g::<28>,
+        set_g::<32>,
+        set_g::<38>,
+    ];
     let per_vs_g: Vec<(f64, f64)> = crate::parallel::parallel_map(&gs, |i, &g| {
-        // A fn-pointer tweak keyed off a thread-local would be clumsy;
-        // instead rebuild with a custom config through the tweak hook.
-        fn set20(c: &mut hb_shield::shield::ShieldConfig) {
-            c.est_snr_db = 20.0;
-        }
-        fn set24(c: &mut hb_shield::shield::ShieldConfig) {
-            c.est_snr_db = 24.0;
-        }
-        fn set28(c: &mut hb_shield::shield::ShieldConfig) {
-            c.est_snr_db = 28.0;
-        }
-        fn set32(c: &mut hb_shield::shield::ShieldConfig) {
-            c.est_snr_db = 32.0;
-        }
-        fn set38(c: &mut hb_shield::shield::ShieldConfig) {
-            c.est_snr_db = 38.0;
-        }
-        let tweak: fn(&mut hb_shield::shield::ShieldConfig) = match i {
-            0 => set20,
-            1 => set24,
-            2 => set28,
-            3 => set32,
-            _ => set38,
-        };
         let mut cfg = ScenarioConfig::paper(seed.wrapping_add(i as u64 * 37));
-        cfg.shield_tweak = Some(tweak);
+        cfg.shield_tweak = Some(tweaks[i]);
         let mut scenario = ScenarioBuilder::new(cfg).build();
         for _ in 0..effort.packets_per_location {
             relay_one_exchange(&mut scenario, &mut [], Command::Interrogate);
         }
-        let sent = scenario.imd.stats.responses_sent.max(1);
-        let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-        (g, 1.0 - ok as f64 / sent as f64)
+        (g, shield_per(&scenario))
     });
     let mut artifact = Artifact::new(
         "Ablation: cancellation depth",
@@ -266,25 +249,9 @@ pub fn wearability(effort: Effort, seed: u64) -> WearabilityAblation {
         let mut builder = ScenarioBuilder::new(cfg);
         let eve_ant = builder.add_at_location(1, "eve");
         let mut scenario = builder.build();
-        let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-        let mut errors = 0usize;
-        let mut total = 0usize;
-        for _ in 0..effort.packets_per_location {
-            relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            eve.clear();
-        }
-        let sent = scenario.imd.stats.responses_sent.max(1);
-        let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-        (
-            d,
-            1.0 - ok as f64 / sent as f64,
-            errors as f64 / total.max(1) as f64,
-        )
+        let eve = eavesdrop(&mut scenario, eve_ant, effort.packets_per_location);
+        let ber = eve.bit_errors as f64 / eve.bits.max(1) as f64;
+        (d, shield_per(&scenario), ber)
     });
     let mut artifact = Artifact::new(
         "Ablation: wearability",
@@ -336,24 +303,9 @@ pub fn robustness(effort: Effort, seed: u64) -> RobustnessAblation {
             scenario.medium.set_cfo_hz(imd_ant, 2e3);
             scenario.medium.set_impulse_noise(0.05, -95.0);
         }
-        let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-        let mut errors = 0usize;
-        let mut total = 0usize;
-        for _ in 0..effort.packets_per_location {
-            relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            eve.clear();
-        }
-        let sent = scenario.imd.stats.responses_sent.max(1);
-        let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-        (
-            1.0 - ok as f64 / sent as f64,
-            errors as f64 / total.max(1) as f64,
-        )
+        let eve = eavesdrop(&mut scenario, eve_ant, effort.packets_per_location);
+        let ber = eve.bit_errors as f64 / eve.bits.max(1) as f64;
+        (shield_per(&scenario), ber)
     };
     let arms = crate::parallel::parallel_map(&[false, true], |_, &impaired| {
         measure(impaired, if impaired { seed ^ 0x1CE } else { seed })

@@ -23,7 +23,7 @@
 //! count.
 
 use crate::defense::{run_defended_exchange, Defense, DEFENSES};
-use crate::montecarlo::{self, Estimate, McConfig};
+use crate::montecarlo::{self, Estimate, McConfig, Runner};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
@@ -108,11 +108,7 @@ fn build_defended(
     hb_channel::medium::AntennaId,
 ) {
     let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+    cfg.imd_model = ImdModel::for_seed(seed);
     defense.configure(&mut cfg);
     let mut builder = ScenarioBuilder::new(cfg);
     let rig = defense.install(&mut builder);
@@ -262,12 +258,13 @@ fn run_cell(
     seeds: [u64; 2],
 ) -> CellEstimate {
     let mc = McConfig::from_effort(effort).with_max_trials(effort.attempts_per_location);
-    let pooled = montecarlo::adaptive_proportions_with::<_, 2>(1, &mc, seeds[0], |s| {
+    let runner = Runner::new(1);
+    let pooled = runner.proportions(&mc, seeds[0], |s| {
         let t = trial(adversary, defense, s);
         [t.attack, (t.delivered as u64, 1)]
     });
     let energy_mc = mc.with_max_trials((effort.attempts_per_location / 2).max(3));
-    let energy_mj = montecarlo::adaptive_mean_with(1, &energy_mc, seeds[1], |s| {
+    let energy_mj = runner.mean(&energy_mc, seeds[1], |s| {
         trial(adversary, defense, s).energy_mj
     });
     CellEstimate {

@@ -71,11 +71,7 @@ pub fn attack_once_at(
     };
     // The paper evaluates both devices and pools the results (§10);
     // alternate between them by seed.
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+    cfg.imd_model = ImdModel::for_seed(seed);
     let mut builder = ScenarioBuilder::new(cfg);
     let atk_ant = builder.add_at(placement);
     let mut scenario = builder.build();
@@ -139,28 +135,9 @@ pub fn success_probability(
 /// grown in deterministic rounds until the Wilson interval reaches the
 /// effort's half-width target — capped at the effort's attempt budget, so
 /// the degenerate arms (success ≈ 0 or ≈ 1, whose intervals tighten
-/// slowly) cost no more than the legacy fixed-sample sweep.
-pub fn success_probability_ci(
-    location: usize,
-    shield_on: bool,
-    attacker_cfg: &AttackerConfig,
-    goal: AttackGoal,
-    effort: &super::Effort,
-    seed: u64,
-) -> crate::montecarlo::Estimate {
-    success_probability_ci_with(
-        crate::parallel::threads(),
-        location,
-        shield_on,
-        attacker_cfg,
-        goal,
-        effort,
-        seed,
-    )
-}
-
-/// [`success_probability_ci`] with an explicit worker count (location
-/// sweeps fan out across locations and run each arm single-worker).
+/// slowly) cost no more than the legacy fixed-sample sweep. Runs on
+/// `workers` threads (location sweeps fan out across locations and run
+/// each arm single-worker).
 pub fn success_probability_ci_with(
     workers: usize,
     location: usize,
@@ -172,12 +149,14 @@ pub fn success_probability_ci_with(
 ) -> crate::montecarlo::Estimate {
     let cfg = crate::montecarlo::McConfig::from_effort(effort)
         .with_max_trials(effort.attempts_per_location);
-    crate::montecarlo::adaptive_proportion_with(workers, &cfg, seed, |s| {
-        (
-            attack_once(location, shield_on, attacker_cfg, goal, s).success as u64,
-            1,
-        )
-    })
+    crate::montecarlo::Runner::new(workers)
+        .proportions(&cfg, seed, |s| {
+            [(
+                attack_once(location, shield_on, attacker_cfg, goal, s).success as u64,
+                1,
+            )]
+        })
+        .estimates[0]
 }
 
 /// Result of the Fig. 11 experiment.

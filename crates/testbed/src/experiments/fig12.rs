@@ -147,7 +147,8 @@ mod tests {
             mc_max_trials: 12,
             ..Effort::tiny()
         };
-        let est = super::super::fig11::success_probability_ci(
+        let est = super::super::fig11::success_probability_ci_with(
+            crate::parallel::threads(),
             2,
             true,
             &cfg,

@@ -6,13 +6,11 @@
 //! shield's PER stays ≤ 0.2% — establishing the operating point used by
 //! every other experiment.
 
-use crate::montecarlo::{self, Estimate, McConfig};
+use crate::montecarlo::{self, Estimate, McConfig, Runner};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
-use hb_adversary::eavesdropper::Eavesdropper;
-use hb_imd::commands::Command;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop, Effort, EveTally};
 
 /// Exchanges per adaptive Monte-Carlo trial task. Each trial builds a
 /// *fresh* scenario (fresh shadowing/noise draws), so trials are the
@@ -37,83 +35,44 @@ pub struct Fig8Result {
 
 /// Runs one margin point; returns (eavesdropper BER, shield PER).
 pub fn run_margin_point(margin_db: f64, packets: usize, seed: u64) -> (f64, f64) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.jam_margin_db = Some(margin_db);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let eve_ant = builder.add_at_location(1, "eavesdropper");
-    let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut bit_errors = 0usize;
-    let mut bits_total = 0usize;
-    let mut replies_sent = 0u64;
-    for _ in 0..packets {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            bit_errors += (ber * record.bits.len() as f64).round() as usize;
-            bits_total += record.bits.len();
-            replies_sent += 1;
-        }
-        eve.clear();
-    }
-    let decoded_at_shield = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-    let ber = if bits_total > 0 {
-        bit_errors as f64 / bits_total as f64
-    } else {
-        0.5
-    };
-    let per = if replies_sent > 0 {
-        1.0 - decoded_at_shield as f64 / replies_sent as f64
+    let (eve, decoded) = margin_counts(margin_db, packets, seed);
+    let per = if eve.replies > 0 {
+        1.0 - decoded as f64 / eve.replies as f64
     } else {
         1.0
     };
-    (ber, per.max(0.0))
+    (eve.ber(), per.max(0.0))
 }
 
-/// One adaptive trial at `margin_db`: a fresh scenario from the derived
-/// seed, [`PACKETS_PER_TRIAL`] exchanges, raw counts out —
-/// `[(bit_errors, bits), (frames_lost, frames_sent)]` for the engine to
-/// pool.
+/// One adaptive trial at `margin_db`: [`PACKETS_PER_TRIAL`] exchanges,
+/// raw counts out — `[(bit_errors, bits), (frames_lost, frames_sent)]`
+/// for the engine to pool.
 fn margin_trial(margin_db: f64, seed: u64) -> [(u64, u64); 2] {
+    let (eve, decoded) = margin_counts(margin_db, PACKETS_PER_TRIAL, seed);
+    [
+        eve.counts(),
+        (eve.replies.saturating_sub(decoded), eve.replies),
+    ]
+}
+
+/// The body both of the above share: a fresh scenario from `seed` at
+/// `margin_db` with an eavesdropper at location 1, `packets` exchanges.
+/// Returns the eavesdropper's tally and the IMD frames the shield decoded.
+fn margin_counts(margin_db: f64, packets: usize, seed: u64) -> (EveTally, u64) {
     let mut cfg = ScenarioConfig::paper(seed);
     cfg.jam_margin_db = Some(margin_db);
     let mut builder = ScenarioBuilder::new(cfg);
     let eve_ant = builder.add_at_location(1, "eavesdropper");
     let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut bit_errors = 0u64;
-    let mut bits_total = 0u64;
-    let mut replies_sent = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            bit_errors += (ber * record.bits.len() as f64).round() as u64;
-            bits_total += record.bits.len() as u64;
-            replies_sent += 1;
-        }
-        eve.clear();
-    }
-    let decoded = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-    let lost = replies_sent.saturating_sub(decoded);
-    [
-        (bit_errors.min(bits_total), bits_total),
-        (lost, replies_sent),
-    ]
+    let eve = eavesdrop(&mut scenario, eve_ant, packets);
+    (eve, scenario.shield.as_ref().unwrap().stats.imd_frames_ok)
 }
 
-/// Runs one margin point adaptively: trials of `PACKETS_PER_TRIAL`
-/// exchanges grow in deterministic rounds until both the BER and PER
-/// Wilson intervals reach the effort's half-width target (or its trial
-/// cap). Returns `(BER estimate, PER estimate)`.
-pub fn run_margin_point_ci(margin_db: f64, effort: &Effort, seed: u64) -> (Estimate, Estimate) {
-    run_margin_point_ci_with(crate::parallel::threads(), margin_db, effort, seed)
-}
-
-/// [`run_margin_point_ci`] with an explicit worker count: [`run`] fans
-/// out across margins and runs each point's inner loop single-worker.
+/// Runs one margin point adaptively on `workers` threads: trials of
+/// `PACKETS_PER_TRIAL` exchanges grow in deterministic rounds until both
+/// the BER and PER Wilson intervals reach the effort's half-width target
+/// (or its trial cap). Returns `(BER estimate, PER estimate)`. [`run`]
+/// fans out across margins and runs each point's loop single-worker.
 pub fn run_margin_point_ci_with(
     workers: usize,
     margin_db: f64,
@@ -121,8 +80,7 @@ pub fn run_margin_point_ci_with(
     seed: u64,
 ) -> (Estimate, Estimate) {
     let cfg = McConfig::from_effort(effort);
-    let run =
-        montecarlo::adaptive_proportions_with(workers, &cfg, seed, |s| margin_trial(margin_db, s));
+    let run = Runner::new(workers).proportions(&cfg, seed, |s| margin_trial(margin_db, s));
     (run.estimates[0], run.estimates[1])
 }
 
@@ -192,6 +150,7 @@ impl crate::experiments::registry::Experiment for Fig8Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::threads;
 
     fn test_effort(half_width: f64, cap: usize) -> Effort {
         Effort {
@@ -208,8 +167,12 @@ mod tests {
     /// ones the old point-estimate test used — CI form strengthens them.
     #[test]
     fn at_20db_adversary_guesses_and_shield_decodes() {
-        let (ber, per) =
-            run_margin_point_ci(20.0, &test_effort(0.04, 64), super::super::test_seed(7));
+        let (ber, per) = run_margin_point_ci_with(
+            threads(),
+            20.0,
+            &test_effort(0.04, 64),
+            super::super::test_seed(7),
+        );
         assert!(
             ber.within(0.42, 0.58),
             "eavesdropper BER CI must sit inside 0.5±0.08: {ber:?}"
@@ -222,13 +185,13 @@ mod tests {
         // The Fig. 8a shape: BER rises monotonically with jamming power and
         // saturates at 0.5 by +20 dB. (Our curve starts higher than the
         // paper's ~0.05 because the shield's body-contact coupling gives
-        // the eavesdropper relatively more jamming at equal margin — see
-        // EXPERIMENTS.md.) CI form: the intervals themselves must be
-        // separated by the old 0.1 point-estimate gap.
+        // the eavesdropper relatively more jamming at equal margin.) CI
+        // form: the intervals themselves must be separated by the old 0.1
+        // point-estimate gap.
         let seed = super::super::test_seed(11);
         let effort = test_effort(0.01, 128);
-        let (ber0, _) = run_margin_point_ci(0.0, &effort, seed);
-        let (ber20, _) = run_margin_point_ci(20.0, &effort, seed ^ 0x20);
+        let (ber0, _) = run_margin_point_ci_with(threads(), 0.0, &effort, seed);
+        let (ber20, _) = run_margin_point_ci_with(threads(), 20.0, &effort, seed ^ 0x20);
         assert!(
             ber0.ci_hi < ber20.ci_lo - 0.1,
             "BER CI at 0 dB ({ber0:?}) must sit 0.1 below the CI at 20 dB ({ber20:?})"
@@ -247,8 +210,8 @@ mod tests {
     fn calibrate_fig8() {
         for seed in [1u64, 2, 3] {
             let effort = test_effort(0.01, 512);
-            let (ber0, per0) = run_margin_point_ci(0.0, &effort, seed);
-            let (ber20, per20) = run_margin_point_ci(20.0, &effort, seed);
+            let (ber0, per0) = run_margin_point_ci_with(threads(), 0.0, &effort, seed);
+            let (ber20, per20) = run_margin_point_ci_with(threads(), 20.0, &effort, seed);
             println!("seed {seed}: 0dB ber {ber0:?} per {per0:?}");
             println!("seed {seed}: 20dB ber {ber20:?} per {per20:?}");
         }

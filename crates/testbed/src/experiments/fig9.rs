@@ -6,14 +6,12 @@
 //! the CDF is low because the adversary's SINR is location-independent
 //! (Eq. 7).
 
-use crate::montecarlo::{self, Estimate, McConfig};
+use crate::montecarlo::{self, Estimate, McConfig, Runner};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
-use hb_adversary::eavesdropper::Eavesdropper;
 use hb_dsp::stats::Cdf;
-use hb_imd::commands::Command;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop, Effort, EveTally};
 
 /// Exchanges per adaptive trial (fresh scenario per trial — see
 /// [`super::fig8`]).
@@ -36,74 +34,26 @@ pub struct Fig9Result {
 /// Alternates the protected device between the Virtuoso and Concerto
 /// profiles by seed, pooling both as the paper does (§10).
 pub fn ber_at_location(location: usize, packets: usize, seed: u64) -> f64 {
+    location_counts(location, packets, seed).ber()
+}
+
+/// The body [`ber_at_location`] and the adaptive trials share: a fresh
+/// scenario from `seed` (fresh shadowing; IMD model alternates by seed
+/// parity), an eavesdropper at `location`, `packets` exchanges.
+fn location_counts(location: usize, packets: usize, seed: u64) -> EveTally {
     let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        crate::scenario::ImdModel::VirtuosoIcd
-    } else {
-        crate::scenario::ImdModel::ConcertoCrt
-    };
+    cfg.imd_model = crate::scenario::ImdModel::for_seed(seed);
     let mut builder = ScenarioBuilder::new(cfg);
     let eve_ant = builder.add_at_location(location, "eavesdropper");
     let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut errors = 0usize;
-    let mut total = 0usize;
-    for _ in 0..packets {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as usize;
-            total += record.bits.len();
-        }
-        eve.clear();
-    }
-    if total == 0 {
-        0.5
-    } else {
-        errors as f64 / total as f64
-    }
+    eavesdrop(&mut scenario, eve_ant, packets)
 }
 
-/// One adaptive trial at `location`: a fresh scenario from the derived
-/// seed (fresh shadowing; IMD model alternates by seed parity, pooling
-/// both devices as the paper does), [`PACKETS_PER_TRIAL`] exchanges,
-/// `(bit_errors, bits)` out.
-fn location_trial(location: usize, seed: u64) -> (u64, u64) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        crate::scenario::ImdModel::VirtuosoIcd
-    } else {
-        crate::scenario::ImdModel::ConcertoCrt
-    };
-    let mut builder = ScenarioBuilder::new(cfg);
-    let eve_ant = builder.add_at_location(location, "eavesdropper");
-    let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut errors = 0u64;
-    let mut total = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as u64;
-            total += record.bits.len() as u64;
-        }
-        eve.clear();
-    }
-    (errors.min(total), total)
-}
-
-/// Adaptive BER estimate at one location: trials grow in deterministic
-/// rounds until the Wilson interval reaches the effort's half-width
-/// target (or its trial cap).
-pub fn ber_at_location_ci(location: usize, effort: &Effort, seed: u64) -> Estimate {
-    ber_at_location_ci_with(crate::parallel::threads(), location, effort, seed)
-}
-
-/// [`ber_at_location_ci`] with an explicit worker count ([`run`] fans out
-/// across locations and runs each location's loop single-worker).
+/// Adaptive BER estimate at one location on `workers` threads: trials of
+/// `PACKETS_PER_TRIAL` exchanges grow in deterministic rounds until the
+/// Wilson interval reaches the effort's half-width target (or its trial
+/// cap). [`run`] fans out across locations and runs each location's loop
+/// single-worker.
 pub fn ber_at_location_ci_with(
     workers: usize,
     location: usize,
@@ -111,7 +61,11 @@ pub fn ber_at_location_ci_with(
     seed: u64,
 ) -> Estimate {
     let cfg = McConfig::from_effort(effort);
-    montecarlo::adaptive_proportion_with(workers, &cfg, seed, |s| location_trial(location, s))
+    Runner::new(workers)
+        .proportions(&cfg, seed, |s| {
+            [location_counts(location, PACKETS_PER_TRIAL, s).counts()]
+        })
+        .estimates[0]
 }
 
 /// Runs the 18-location sweep through the adaptive engine. Locations run
@@ -189,8 +143,9 @@ mod tests {
             mc_max_trials: 64,
             ..Effort::tiny()
         };
-        let near = ber_at_location_ci(1, &effort, seed);
-        let far = ber_at_location_ci(13, &effort, seed ^ 0x0D);
+        let workers = crate::parallel::threads();
+        let near = ber_at_location_ci_with(workers, 1, &effort, seed);
+        let far = ber_at_location_ci_with(workers, 13, &effort, seed ^ 0x0D);
         assert!(near.within(0.4, 0.6), "near BER CI {near:?}");
         assert!(far.within(0.4, 0.6), "far BER CI {far:?}");
     }

@@ -43,7 +43,7 @@ use hb_imd::models::ImdConfig;
 use hb_phy::packet::Serial;
 
 use super::registry::{EvalCtx, Experiment};
-use super::Effort;
+use super::{Effort, EveTally};
 
 /// Patients on the floor, primary included (2 devices each: implant +
 /// worn shield — 100 devices total).
@@ -165,8 +165,7 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
     let monitored: Vec<usize> = (0..FLOOR_PATIENTS)
         .filter(|i| i % FLOOR_CHANNELS == 0)
         .collect();
-    let mut errors = vec![0usize; monitored.len()];
-    let mut totals = vec![0usize; monitored.len()];
+    let mut tallies = vec![EveTally::default(); monitored.len()];
 
     for _ in 0..rounds {
         for (slot, &bed) in monitored.iter().enumerate() {
@@ -187,11 +186,7 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
             } else {
                 scenario.patients[bed - 1].imd.take_tx_log()
             };
-            for record in log {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors[slot] += (ber * record.bits.len() as f64).round() as usize;
-                totals[slot] += record.bits.len();
-            }
+            tallies[slot].score(&eve, log);
             eve.clear();
         }
     }
@@ -214,11 +209,7 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
             BedRow {
                 bed,
                 per: per(sent, ok),
-                ber: if totals[slot] == 0 {
-                    0.5
-                } else {
-                    errors[slot] as f64 / totals[slot] as f64
-                },
+                ber: tallies[slot].ber(),
             }
         })
         .collect();

@@ -49,8 +49,11 @@ pub mod table2;
 pub mod ward;
 
 use crate::scenario::Scenario;
+use hb_adversary::eavesdropper::Eavesdropper;
+use hb_channel::medium::AntennaId;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
+use hb_imd::device::TxRecord;
 
 /// Experiment sizing: `quick` keeps unit tests and CI fast; `full`
 /// approaches the paper's sample counts.
@@ -162,4 +165,58 @@ pub fn relay_one_exchange(
     cmd: Command,
 ) -> u64 {
     try_relay_one_exchange(scenario, extra, cmd).expect("relay_one_exchange needs a shield")
+}
+
+/// What an eavesdropper made of the IMD's replies over a run of relayed
+/// exchanges: the raw counts each experiment turns into its own BER.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EveTally {
+    /// Reply bits the eavesdropper decoded wrong.
+    pub bit_errors: u64,
+    /// Reply bits the IMD sent.
+    pub bits: u64,
+    /// Replies the IMD sent.
+    pub replies: u64,
+}
+
+impl EveTally {
+    /// The `(bit_errors, bits)` pair an adaptive trial reports.
+    pub fn counts(&self) -> (u64, u64) {
+        (self.bit_errors.min(self.bits), self.bits)
+    }
+
+    /// Scores `eve` against every reply in `log` (an IMD's drained TX
+    /// log).
+    pub fn score(&mut self, eve: &Eavesdropper, log: Vec<TxRecord>) {
+        for record in log {
+            let ber = eve.ber_against(record.start_tick, &record.bits);
+            self.bit_errors += (ber * record.bits.len() as f64).round() as u64;
+            self.bits += record.bits.len() as u64;
+            self.replies += 1;
+        }
+    }
+
+    /// Bit-error rate; 0.5 (a guess) when the IMD sent nothing.
+    pub fn ber(&self) -> f64 {
+        if self.bits > 0 {
+            self.bit_errors as f64 / self.bits as f64
+        } else {
+            0.5
+        }
+    }
+}
+
+/// The eavesdropper trial body of Figs. 8–9 and the ablations: relays
+/// `exchanges` interrogations through the scenario's shield with an
+/// eavesdropper listening on `eve_ant`, and counts its bit errors against
+/// every reply the IMD sent.
+pub(crate) fn eavesdrop(scenario: &mut Scenario, eve_ant: AntennaId, exchanges: usize) -> EveTally {
+    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
+    let mut tally = EveTally::default();
+    for _ in 0..exchanges {
+        relay_one_exchange(scenario, &mut [&mut eve], Command::Interrogate);
+        tally.score(&eve, scenario.imd.take_tx_log());
+        eve.clear();
+    }
+    tally
 }

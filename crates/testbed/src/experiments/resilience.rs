@@ -27,7 +27,7 @@
 //! master seeds derived before the fan-out, so the matrix is
 //! bit-identical at any thread count.
 
-use crate::montecarlo::{self, Estimate, McConfig};
+use crate::montecarlo::{self, Estimate, McConfig, Runner};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ImdModel, ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
@@ -90,11 +90,7 @@ pub fn fault_plan_with_outage(intensity: f64) -> FaultPlan {
 /// `(delivered, attempts, imd_radio_energy_j)`.
 fn exchange_trial(intensity: f64, arq: ArqConfig, seed: u64) -> (bool, u32, f64) {
     let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+    cfg.imd_model = ImdModel::for_seed(seed);
     cfg.fault = fault_plan(intensity);
     let mut scenario = ScenarioBuilder::new(cfg).build();
     let outcome = crate::recovery::run_arq_exchange(
@@ -121,11 +117,7 @@ fn exchange_trial(intensity: f64, arq: ArqConfig, seed: u64) -> (bool, u32, f64)
 /// never happen.
 fn forged_trial(intensity: f64, seed: u64) -> bool {
     let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+    cfg.imd_model = ImdModel::for_seed(seed);
     cfg.fault = fault_plan_with_outage(intensity);
     let mut builder = ScenarioBuilder::new(cfg);
     let atk_ant = builder.add_at(
@@ -168,15 +160,18 @@ pub struct Cell {
 /// intensities; master seeds are pre-derived by the caller).
 fn run_cell(intensity: f64, effort: &Effort, seeds: [u64; 4]) -> Cell {
     let mc = McConfig::from_effort(effort).with_max_trials(effort.attempts_per_location);
-    let no_arq = montecarlo::adaptive_proportion_with(1, &mc, seeds[0], |s| {
-        (
-            exchange_trial(intensity, ArqConfig::default().without_retries(), s).0 as u64,
-            1,
-        )
-    });
+    let runner = Runner::new(1);
+    let no_arq = runner
+        .proportions(&mc, seeds[0], |s| {
+            [(
+                exchange_trial(intensity, ArqConfig::default().without_retries(), s).0 as u64,
+                1,
+            )]
+        })
+        .estimates[0];
     // Delivery and attempts pooled from the same trials (fig8-style
     // multi-proportion pooling: attempts normalized by the budget).
-    let arq_run = montecarlo::adaptive_proportions_with::<_, 2>(1, &mc, seeds[1], |s| {
+    let arq_run = runner.proportions(&mc, seeds[1], |s| {
         let (delivered, attempts, _) = exchange_trial(intensity, ArqConfig::default(), s);
         [(delivered as u64, 1), (attempts as u64, MAX_ATTEMPTS)]
     });
@@ -191,12 +186,12 @@ fn run_cell(intensity: f64, effort: &Effort, seeds: [u64; 4]) -> Cell {
     // Battery: a small fixed sample is enough for a mean with the
     // bootstrap interval reported alongside.
     let energy_mc = mc.with_max_trials((effort.attempts_per_location / 2).max(3));
-    let energy_mj = montecarlo::adaptive_mean_with(1, &energy_mc, seeds[2], |s| {
+    let energy_mj = runner.mean(&energy_mc, seeds[2], |s| {
         exchange_trial(intensity, ArqConfig::default(), s).2 * 1e3
     });
-    let forged = montecarlo::adaptive_proportion_with(1, &mc, seeds[3], |s| {
-        (forged_trial(intensity, s) as u64, 1)
-    });
+    let forged = runner
+        .proportions(&mc, seeds[3], |s| [(forged_trial(intensity, s) as u64, 1)])
+        .estimates[0];
     Cell {
         intensity,
         no_arq,
@@ -314,12 +309,14 @@ mod tests {
             z: hb_dsp::stats::Z_95,
             bootstrap_resamples: 50,
         };
-        let no_arq = montecarlo::adaptive_proportion_with(1, &mc, seed, |s| {
-            (
-                exchange_trial(1.0, ArqConfig::default().without_retries(), s).0 as u64,
-                1,
-            )
-        });
+        let no_arq = Runner::new(1)
+            .proportions(&mc, seed, |s| {
+                [(
+                    exchange_trial(1.0, ArqConfig::default().without_retries(), s).0 as u64,
+                    1,
+                )]
+            })
+            .estimates[0];
         assert!(
             no_arq.below(0.98),
             "bare link must visibly degrade at intensity 1.0: {no_arq:?}"
@@ -329,9 +326,11 @@ mod tests {
             max_trials: 12,
             ..mc
         };
-        let arq = montecarlo::adaptive_proportion_with(1, &mc_arq, seed ^ 0x77, |s| {
-            (exchange_trial(1.0, ArqConfig::default(), s).0 as u64, 1)
-        });
+        let arq = Runner::new(1)
+            .proportions(&mc_arq, seed ^ 0x77, |s| {
+                [(exchange_trial(1.0, ArqConfig::default(), s).0 as u64, 1)]
+            })
+            .estimates[0];
         assert!(
             arq.mean >= 0.9,
             "ARQ must deliver despite the faults: {arq:?}"

@@ -33,7 +33,7 @@ use hb_channel::geometry::Placement;
 use hb_imd::commands::Command;
 
 use super::registry::{EvalCtx, Experiment};
-use super::Effort;
+use super::{Effort, EveTally};
 
 /// Per-separation measurements.
 #[derive(Debug, Clone, Copy)]
@@ -78,8 +78,7 @@ pub fn one_separation(separation_m: f64, packets: usize, seed: u64) -> WardRow {
     let (mut scenario, pat, eve_ant) = build(seed);
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
     let blocks = scenario.medium.blocks_for_duration(0.060);
-    let mut errors = 0usize;
-    let mut total = 0usize;
+    let mut tally = EveTally::default();
     for _ in 0..packets {
         for turn in 0..2usize {
             if turn == 0 {
@@ -94,16 +93,8 @@ pub fn one_separation(separation_m: f64, packets: usize, seed: u64) -> WardRow {
                     .queue_command(Command::Interrogate);
             }
             scenario.run_blocks(&mut [&mut eve], blocks);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            for record in scenario.patients[pat].imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
+            tally.score(&eve, scenario.imd.take_tx_log());
+            tally.score(&eve, scenario.patients[pat].imd.take_tx_log());
             eve.clear();
         }
     }
@@ -115,11 +106,7 @@ pub fn one_separation(separation_m: f64, packets: usize, seed: u64) -> WardRow {
         scenario.patients[pat].imd.stats.responses_sent,
         scenario.patients[pat].shield.stats.imd_frames_ok,
     );
-    let ber_staggered = if total == 0 {
-        0.5
-    } else {
-        errors as f64 / total as f64
-    };
+    let ber_staggered = tally.ber();
 
     // --- Collided arm: both shields interrogate simultaneously. ---
     let (mut scenario, pat, _) = build(seed ^ 0xA11D);

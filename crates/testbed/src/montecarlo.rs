@@ -157,289 +157,271 @@ pub fn trial_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `trial` adaptively until all `K` pooled Wilson intervals reach
-/// the target half-width or the trial cap is hit.
-///
-/// `trial` receives a pre-derived seed and returns `K` count pairs
-/// `(successes, trials)` — e.g. `[(bit_errors, bits), (lost, frames)]`.
-/// Trials fan out on [`parallel::parallel_map_n`]; counts pool by
-/// saturating summation in trial order.
-pub fn adaptive_proportions<F, const K: usize>(cfg: &McConfig, seed: u64, trial: F) -> McRun<K>
-where
-    F: Fn(u64) -> [(u64, u64); K] + Sync,
-{
-    adaptive_proportions_with(parallel::threads(), cfg, seed, trial)
-}
-
-/// [`adaptive_proportions`] with an explicit worker count — the
-/// determinism tests use this to compare 1-thread and N-thread runs
-/// without touching the process environment.
-pub fn adaptive_proportions_with<F, const K: usize>(
+/// The one Monte-Carlo entry point: a worker count plus the [`RunCtl`]
+/// to journal to, with one method per pool kind —
+/// [`proportions`](Runner::proportions) pools Wilson counts,
+/// [`mean`](Runner::mean) pools bootstrap samples. Both drive the same
+/// round loop, so journaling, resume, quarantine, and the deadline behave
+/// identically for either kind. Sweeps that already fan out across data
+/// points run their inner loops on `Runner::new(1)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Runner<'c> {
     workers: usize,
-    cfg: &McConfig,
-    seed: u64,
-    trial: F,
-) -> McRun<K>
-where
-    F: Fn(u64) -> [(u64, u64); K] + Sync,
-{
-    let ctl = checkpoint::current();
-    adaptive_proportions_ctl(workers, cfg, seed, ctl.as_deref(), trial)
+    /// `None`: the process-installed control ([`checkpoint::current`]),
+    /// read when a run starts. `Some(None)` disables journaling, resume,
+    /// quarantine reporting, and the deadline.
+    ctl: Option<Option<&'c RunCtl>>,
 }
 
-/// [`adaptive_proportions_with`] against an explicit [`RunCtl`] instead
-/// of the process-installed one — what the crash-safety tests use to
-/// exercise journaling, resume, quarantine, and deadlines without
-/// touching global state. `ctl: None` disables all of them.
-pub fn adaptive_proportions_ctl<F, const K: usize>(
-    workers: usize,
-    cfg: &McConfig,
-    seed: u64,
-    ctl: Option<&RunCtl>,
-    trial: F,
-) -> McRun<K>
-where
-    F: Fn(u64) -> [(u64, u64); K] + Sync,
-{
-    let mut pooled = [(0u64, 0u64); K];
-    let mut done = 0usize;
-    let mut trace = Vec::new();
-    let mut quarantines: Vec<Quarantine> = Vec::new();
-    let mut truncated = false;
-    let mut estimates = [Estimate {
-        mean: 0.0,
-        ci_lo: 0.0,
-        ci_hi: 1.0,
-        n: 0,
-    }; K];
-
-    let journal_path = ctl.and_then(|c| c.claim_journal(seed, K, "p"));
-    if let (Some(c), Some(path)) = (ctl, journal_path.as_ref()) {
-        if c.resuming() {
-            if let Some(j) = Journal::load(path) {
-                if let JournalKind::Proportions(pools) = &j.kind {
-                    if j.matches(seed, &journal_cfg(cfg)) && pools.len() == K {
-                        for (dst, &src) in pooled.iter_mut().zip(pools.iter()) {
-                            *dst = src;
-                        }
-                        done = j.done as usize;
-                        quarantines = j.quarantines;
-                    }
-                }
-            }
-        }
-    }
-    if done > 0 {
-        refresh_estimates(&mut estimates, &pooled, cfg);
+impl<'c> Runner<'c> {
+    /// A runner on `workers` threads under the process-installed
+    /// [`RunCtl`], if a driver installed one.
+    pub fn new(workers: usize) -> Self {
+        Runner { workers, ctl: None }
     }
 
-    // Loop-top checks reproduce the original post-round breaks exactly:
-    // a fresh run enters with `done == 0` and behaves as before; a
-    // resumed run re-evaluates the crashed run's last stopping decision
-    // from the restored counts, so it continues (or stops) precisely
-    // where an uninterrupted run would have.
-    loop {
-        if done > 0 && converged(&estimates, cfg) {
-            break;
-        }
-        if done >= cfg.max_trials {
-            break;
-        }
-        if ctl.is_some_and(|c| c.deadline_expired()) {
-            truncated = true;
-            break;
-        }
-        let batch = next_batch(cfg, done);
-        let indices: Vec<u64> = (done as u64..(done + batch) as u64).collect();
-        let results = parallel::parallel_map_with(workers, &indices, |_, &i| {
-            let s = trial_seed(seed, i);
-            guarded_trial(i, s, || trial(s))
-        });
-        for result in results {
-            match result {
-                Ok(counts) => {
-                    for (pool, &(s, t)) in pooled.iter_mut().zip(counts.iter()) {
-                        debug_assert!(s <= t, "trial reported more successes than trials");
-                        pool.0 = pool.0.saturating_add(s);
-                        pool.1 = pool.1.saturating_add(t);
-                    }
-                }
-                Err(q) => quarantines.push(q),
-            }
-        }
-        done += batch;
-        refresh_estimates(&mut estimates, &pooled, cfg);
-        trace.push(estimates);
-        if let Some(path) = journal_path.as_ref() {
-            store_journal(
-                ctl,
-                path,
-                &Journal {
-                    master: seed,
-                    cfg: journal_cfg(cfg),
-                    done: done as u64,
-                    kind: JournalKind::Proportions(pooled.to_vec()),
-                    quarantines: quarantines.clone(),
-                },
-            );
+    /// A runner against an explicit [`RunCtl`] instead of the installed
+    /// one — what the crash-safety tests use to exercise journaling,
+    /// resume, quarantine, and deadlines without touching global state.
+    pub fn with_ctl(workers: usize, ctl: Option<&'c RunCtl>) -> Self {
+        Runner {
+            workers,
+            ctl: Some(ctl),
         }
     }
-    if let Some(c) = ctl {
-        if truncated {
-            c.note_truncated();
+
+    /// Runs `trial` adaptively until all `K` pooled Wilson intervals reach
+    /// the target half-width or the trial cap is hit.
+    ///
+    /// `trial` receives a pre-derived seed and returns `K` count pairs
+    /// `(successes, trials)` — e.g. `[(bit_errors, bits), (lost, frames)]`.
+    /// Counts pool by saturating summation in trial order.
+    pub fn proportions<const K: usize>(
+        &self,
+        cfg: &McConfig,
+        seed: u64,
+        trial: impl Fn(u64) -> [(u64, u64); K] + Sync,
+    ) -> McRun<K> {
+        self.run(cfg, seed, Counts([(0, 0); K]), trial).0
+    }
+
+    /// Runs `trial` adaptively until the bootstrap interval of the sample
+    /// mean reaches the target half-width or the trial cap is hit — the
+    /// continuous-metric kind, for SINR-, energy-, and turnaround-style
+    /// measurements.
+    ///
+    /// The bootstrap reseeds from `(seed, samples so far)`, so any stopping
+    /// point remains a pure function of `(cfg, seed)` — still bit-identical
+    /// at any thread count, because the samples it resamples arrive in
+    /// trial order. The journal stores every completed sample bit-exactly
+    /// (f64 bit patterns), so a resumed run reproduces the same intervals.
+    pub fn mean(&self, cfg: &McConfig, seed: u64, trial: impl Fn(u64) -> f64 + Sync) -> Estimate {
+        let (run, pool) = self.run(cfg, seed, Samples(Vec::new()), trial);
+        if run.trials > 0 {
+            run.estimates[0]
+        } else {
+            pool.estimate(cfg, seed)[0]
         }
-        c.note_quarantined(quarantines.len() as u64);
     }
-    McRun {
-        estimates,
-        trials: done as u64,
-        trace,
-        quarantines,
-        truncated,
-    }
-}
 
-/// Single-proportion convenience over [`adaptive_proportions`].
-pub fn adaptive_proportion<F>(cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> (u64, u64) + Sync,
-{
-    adaptive_proportions::<_, 1>(cfg, seed, |s| [trial(s)]).estimates[0]
-}
+    /// The round loop both pool kinds share: journal resume, stop checks,
+    /// a batch of guarded parallel trials, pool, estimate, journal store.
+    /// Returns the run and the final pool.
+    fn run<P: Pool<K>, const K: usize>(
+        &self,
+        cfg: &McConfig,
+        seed: u64,
+        mut pool: P,
+        trial: impl Fn(u64) -> P::Sample + Sync,
+    ) -> (McRun<K>, P) {
+        let installed = self.ctl.is_none().then(checkpoint::current).flatten();
+        let ctl = self.ctl.unwrap_or(installed.as_deref());
+        let mut done = 0usize;
+        let mut trace = Vec::new();
+        let mut quarantines: Vec<Quarantine> = Vec::new();
+        let mut truncated = false;
 
-/// [`adaptive_proportion`] with an explicit worker count — experiment
-/// sweeps that already fan out across data points run their inner
-/// adaptive loops with one worker to avoid nested thread pools.
-pub fn adaptive_proportion_with<F>(workers: usize, cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> (u64, u64) + Sync,
-{
-    adaptive_proportions_with::<_, 1>(workers, cfg, seed, |s| [trial(s)]).estimates[0]
-}
-
-/// Runs `trial` adaptively until the bootstrap interval of the sample
-/// mean reaches the target half-width or the trial cap is hit — the
-/// continuous-metric sibling of [`adaptive_proportions`], for SINR and
-/// turnaround-style measurements.
-///
-/// The bootstrap reseeds from `(seed, round)` each round, so any stopping
-/// point remains a pure function of `(cfg, seed)` — still bit-identical
-/// at any thread count, because the samples it resamples arrive in trial
-/// order.
-pub fn adaptive_mean<F>(cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    adaptive_mean_with(parallel::threads(), cfg, seed, trial)
-}
-
-/// [`adaptive_mean`] with an explicit worker count (determinism tests).
-pub fn adaptive_mean_with<F>(workers: usize, cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let ctl = checkpoint::current();
-    adaptive_mean_ctl(workers, cfg, seed, ctl.as_deref(), trial)
-}
-
-/// [`adaptive_mean_with`] against an explicit [`RunCtl`] — the
-/// continuous-metric sibling of [`adaptive_proportions_ctl`]. The journal
-/// stores every completed sample bit-exactly (f64 bit patterns), so a
-/// resumed run reproduces the same bootstrap intervals and stopping
-/// point. Quarantine and truncation are reported through the `RunCtl`.
-pub fn adaptive_mean_ctl<F>(
-    workers: usize,
-    cfg: &McConfig,
-    seed: u64,
-    ctl: Option<&RunCtl>,
-    trial: F,
-) -> Estimate
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let mut samples: Vec<f64> = Vec::new();
-    // Trial tasks completed: equals `samples.len()` on a healthy run, but
-    // quarantined trials consume their index without yielding a sample.
-    let mut done = 0usize;
-    let mut quarantines: Vec<Quarantine> = Vec::new();
-    let mut truncated = false;
-    let alpha = 2.0 * (1.0 - normal_cdf(cfg.z));
-    let interval = |samples: &[f64]| {
-        bootstrap_mean_interval(
-            samples,
-            cfg.bootstrap_resamples,
-            alpha,
-            trial_seed(seed ^ 0xB007_57AB, samples.len() as u64),
-        )
-    };
-
-    let journal_path = ctl.and_then(|c| c.claim_journal(seed, 1, "m"));
-    if let (Some(c), Some(path)) = (ctl, journal_path.as_ref()) {
-        if c.resuming() {
-            if let Some(j) = Journal::load(path) {
-                if let JournalKind::Mean(restored) = &j.kind {
+        let journal_path = ctl.and_then(|c| c.claim_journal(seed, K, P::TAG));
+        if let (Some(c), Some(path)) = (ctl, journal_path.as_ref()) {
+            if c.resuming() {
+                if let Some(j) = Journal::load(path) {
                     if j.matches(seed, &journal_cfg(cfg)) {
-                        samples = restored.clone();
-                        done = j.done as usize;
-                        quarantines = j.quarantines;
+                        if let Some(restored) = P::restore(j.kind) {
+                            pool = restored;
+                            done = j.done as usize;
+                            quarantines = j.quarantines;
+                        }
                     }
                 }
             }
         }
-    }
-    // A resumed run first re-evaluates the crashed run's last stopping
-    // decision (same interval, same bootstrap seed), then continues on
-    // the original schedule.
-    let mut converged = done > 0 && samples.len() >= 2 && {
-        let (lo, hi) = interval(&samples);
-        (hi - lo) / 2.0 <= cfg.target_half_width
-    };
-    while !converged && done < cfg.max_trials {
-        if ctl.is_some_and(|c| c.deadline_expired()) {
-            truncated = true;
-            break;
-        }
-        let batch = next_batch(cfg, done);
-        let indices: Vec<u64> = (done as u64..(done + batch) as u64).collect();
-        let results = parallel::parallel_map_with(workers, &indices, |_, &i| {
-            let s = trial_seed(seed, i);
-            guarded_trial(i, s, || trial(s))
-        });
-        for result in results {
-            match result {
-                Ok(x) => samples.push(x),
-                Err(q) => quarantines.push(q),
+        let mut estimates = if done > 0 {
+            pool.estimate(cfg, seed)
+        } else {
+            [UNSAMPLED; K]
+        };
+
+        // The stop checks sit at the loop top so that a resumed run first
+        // re-evaluates the crashed run's last stopping decision from the
+        // restored pool: it continues (or stops) precisely where an
+        // uninterrupted run would have. A fresh run (`done == 0`) always
+        // runs its first round.
+        let converged = |est: &[Estimate; K]| {
+            est.iter()
+                .all(|e| e.n >= P::MIN_N && e.half_width() <= cfg.target_half_width)
+        };
+        while !(done > 0 && converged(&estimates)) && done < cfg.max_trials {
+            if ctl.is_some_and(|c| c.deadline_expired()) {
+                truncated = true;
+                break;
+            }
+            let batch = next_batch(cfg, done);
+            let indices: Vec<u64> = (done as u64..(done + batch) as u64).collect();
+            let results = parallel::parallel_map_with(self.workers, &indices, |_, &i| {
+                let s = trial_seed(seed, i);
+                guarded_trial(i, s, || trial(s))
+            });
+            for result in results {
+                match result {
+                    Ok(sample) => pool.add(sample),
+                    Err(q) => quarantines.push(q),
+                }
+            }
+            done += batch;
+            estimates = pool.estimate(cfg, seed);
+            trace.push(estimates);
+            if let Some(path) = journal_path.as_ref() {
+                store_journal(
+                    ctl,
+                    path,
+                    &Journal {
+                        master: seed,
+                        cfg: journal_cfg(cfg),
+                        done: done as u64,
+                        kind: pool.journal(),
+                        quarantines: quarantines.clone(),
+                    },
+                );
             }
         }
-        done += batch;
-        let (lo, hi) = interval(&samples);
-        converged = samples.len() >= 2 && (hi - lo) / 2.0 <= cfg.target_half_width;
-        if let Some(path) = journal_path.as_ref() {
-            store_journal(
-                ctl,
-                path,
-                &Journal {
-                    master: seed,
-                    cfg: journal_cfg(cfg),
-                    done: done as u64,
-                    kind: JournalKind::Mean(samples.clone()),
-                    quarantines: quarantines.clone(),
-                },
-            );
+        if let Some(c) = ctl {
+            if truncated {
+                c.note_truncated();
+            }
+            c.note_quarantined(quarantines.len() as u64);
+        }
+        let run = McRun {
+            estimates,
+            trials: done as u64,
+            trace,
+            quarantines,
+            truncated,
+        };
+        (run, pool)
+    }
+}
+
+/// A proportion run's estimate before its first trial.
+const UNSAMPLED: Estimate = Estimate {
+    mean: 0.0,
+    ci_lo: 0.0,
+    ci_hi: 1.0,
+    n: 0,
+};
+
+/// What the round loop pools trial results into — the only part that
+/// differs between the two kinds of run.
+trait Pool<const K: usize>: Sized {
+    /// One trial's result.
+    type Sample: Send;
+    /// Journal file tag: `mc_<master>_{p<K>|m1}.journal`.
+    const TAG: &'static str;
+    /// Sample count below which an interval never counts as converged.
+    const MIN_N: u64;
+    fn add(&mut self, sample: Self::Sample);
+    fn estimate(&self, cfg: &McConfig, seed: u64) -> [Estimate; K];
+    fn journal(&self) -> JournalKind;
+    /// The pool a journal restores; `None` for a journal of the other kind.
+    fn restore(kind: JournalKind) -> Option<Self>;
+}
+
+/// Pooled `(successes, trials)` per tracked proportion, with Wilson
+/// intervals.
+struct Counts<const K: usize>([(u64, u64); K]);
+
+impl<const K: usize> Pool<K> for Counts<K> {
+    type Sample = [(u64, u64); K];
+    const TAG: &'static str = "p";
+    const MIN_N: u64 = 1;
+
+    fn add(&mut self, counts: [(u64, u64); K]) {
+        for (pool, &(s, t)) in self.0.iter_mut().zip(counts.iter()) {
+            debug_assert!(s <= t, "trial reported more successes than trials");
+            pool.0 = pool.0.saturating_add(s);
+            pool.1 = pool.1.saturating_add(t);
         }
     }
-    if let Some(c) = ctl {
-        if truncated {
-            c.note_truncated();
-        }
-        c.note_quarantined(quarantines.len() as u64);
+
+    fn estimate(&self, cfg: &McConfig, _seed: u64) -> [Estimate; K] {
+        self.0.map(|(s, t)| {
+            let (lo, hi) = wilson_interval(s.min(t), t, cfg.z);
+            Estimate {
+                mean: if t > 0 { s as f64 / t as f64 } else { 0.5 },
+                ci_lo: lo,
+                ci_hi: hi,
+                n: t,
+            }
+        })
     }
-    let (lo, hi) = interval(&samples);
-    Estimate {
-        mean: samples.iter().sum::<f64>() / samples.len().max(1) as f64,
-        ci_lo: lo,
-        ci_hi: hi,
-        n: samples.len() as u64,
+
+    fn journal(&self) -> JournalKind {
+        JournalKind::Proportions(self.0.to_vec())
+    }
+
+    fn restore(kind: JournalKind) -> Option<Self> {
+        match kind {
+            JournalKind::Proportions(pools) => pools.try_into().ok().map(Counts),
+            JournalKind::Mean(_) => None,
+        }
+    }
+}
+
+/// Completed samples in trial order, with a bootstrap interval of their
+/// mean. Quarantined trials consume their index without yielding a
+/// sample, so the count can fall short of the trials done.
+struct Samples(Vec<f64>);
+
+impl Pool<1> for Samples {
+    type Sample = f64;
+    const TAG: &'static str = "m";
+    const MIN_N: u64 = 2;
+
+    fn add(&mut self, x: f64) {
+        self.0.push(x);
+    }
+
+    fn estimate(&self, cfg: &McConfig, seed: u64) -> [Estimate; 1] {
+        let n = self.0.len();
+        let alpha = 2.0 * (1.0 - normal_cdf(cfg.z));
+        let seed = trial_seed(seed ^ 0xB007_57AB, n as u64);
+        let (lo, hi) = bootstrap_mean_interval(&self.0, cfg.bootstrap_resamples, alpha, seed);
+        [Estimate {
+            mean: self.0.iter().sum::<f64>() / n.max(1) as f64,
+            ci_lo: lo,
+            ci_hi: hi,
+            n: n as u64,
+        }]
+    }
+
+    fn journal(&self) -> JournalKind {
+        JournalKind::Mean(self.0.clone())
+    }
+
+    fn restore(kind: JournalKind) -> Option<Self> {
+        match kind {
+            JournalKind::Mean(samples) => Some(Samples(samples)),
+            JournalKind::Proportions(_) => None,
+        }
     }
 }
 
@@ -451,33 +433,6 @@ where
 fn next_batch(cfg: &McConfig, done: usize) -> usize {
     let want = if done == 0 { cfg.initial_trials } else { done };
     want.max(1).min(cfg.max_trials - done)
-}
-
-/// Recomputes the pooled Wilson estimates (shared by the round loop and
-/// the resume path, so both produce bit-identical values from the same
-/// counts).
-fn refresh_estimates<const K: usize>(
-    estimates: &mut [Estimate; K],
-    pooled: &[(u64, u64); K],
-    cfg: &McConfig,
-) {
-    for (est, &(s, t)) in estimates.iter_mut().zip(pooled.iter()) {
-        let (lo, hi) = wilson_interval(s.min(t), t, cfg.z);
-        *est = Estimate {
-            mean: if t > 0 { s as f64 / t as f64 } else { 0.5 },
-            ci_lo: lo,
-            ci_hi: hi,
-            n: t,
-        };
-    }
-}
-
-/// The stopping predicate: every tracked interval has data and meets the
-/// half-width target.
-fn converged(estimates: &[Estimate], cfg: &McConfig) -> bool {
-    estimates
-        .iter()
-        .all(|e| e.n > 0 && e.half_width() <= cfg.target_half_width)
 }
 
 /// The sizing fingerprint a journal stores so a resume under a different
@@ -583,7 +538,7 @@ mod tests {
     #[test]
     fn converges_and_tightens() {
         let c = cfg(4, 4096, 0.02);
-        let run = adaptive_proportions_with(1, &c, 42, |s| [coin_trial(s)]);
+        let run = Runner::new(1).proportions(&c, 42, |s| [coin_trial(s)]);
         let est = run.estimates[0];
         assert!(est.half_width() <= 0.02, "half-width {}", est.half_width());
         assert!(est.within(0.40, 0.60), "p=0.5 coin: {est:?}");
@@ -597,7 +552,7 @@ mod tests {
     #[test]
     fn respects_the_trial_cap() {
         let c = cfg(3, 10, 1e-9); // unreachable target: must stop at cap
-        let run = adaptive_proportions_with(1, &c, 1, |s| [coin_trial(s)]);
+        let run = Runner::new(1).proportions(&c, 1, |s| [coin_trial(s)]);
         assert_eq!(run.trials, 10);
         assert_eq!(run.estimates[0].n, 160);
     }
@@ -605,8 +560,8 @@ mod tests {
     #[test]
     fn thread_count_invariant() {
         let c = cfg(5, 640, 0.015);
-        let a = adaptive_proportions_with(1, &c, 7, |s| [coin_trial(s)]);
-        let b = adaptive_proportions_with(4, &c, 7, |s| [coin_trial(s)]);
+        let a = Runner::new(1).proportions(&c, 7, |s| [coin_trial(s)]);
+        let b = Runner::new(4).proportions(&c, 7, |s| [coin_trial(s)]);
         assert_eq!(a.trials, b.trials);
         assert_eq!(a.estimates[0], b.estimates[0]);
         assert_eq!(a.trace.len(), b.trace.len());
@@ -620,11 +575,11 @@ mod tests {
         // A run capped at n trials must reproduce exactly the estimates a
         // longer run had after its first n trials: seeds derive from the
         // global trial index, so early-stop boundaries change nothing.
-        let long = adaptive_proportions_with(2, &cfg(4, 1024, 1e-9), 99, |s| [coin_trial(s)]);
+        let long = Runner::new(2).proportions(&cfg(4, 1024, 1e-9), 99, |s| [coin_trial(s)]);
         for (r, round) in long.trace.iter().enumerate() {
             let capped_max = 4usize << r; // totals double per round: 4, 8, 16...
             let short =
-                adaptive_proportions_with(3, &cfg(4, capped_max, 1e-9), 99, |s| [coin_trial(s)]);
+                Runner::new(3).proportions(&cfg(4, capped_max, 1e-9), 99, |s| [coin_trial(s)]);
             assert_eq!(
                 short.estimates[0], round[0],
                 "round {r}: capped run must equal the longer run's prefix"
@@ -637,7 +592,7 @@ mod tests {
         // Component 0 converges almost immediately (huge denominator);
         // component 1 has 1 trial per task and forces further rounds.
         let c = cfg(4, 4096, 0.05);
-        let run = adaptive_proportions_with(1, &c, 5, |s| {
+        let run = Runner::new(1).proportions(&c, 5, |s| {
             let (hits, n) = coin_trial(s);
             [(hits * 64, n * 64), (hits & 1, 1)]
         });
@@ -654,8 +609,8 @@ mod tests {
     fn adaptive_mean_converges_deterministically() {
         let c = cfg(8, 4096, 0.05);
         let noisy = |s: u64| (trial_seed(s, 0) >> 11) as f64 / (1u64 << 53) as f64; // U[0,1)
-        let a = adaptive_mean_with(1, &c, 3, noisy);
-        let b = adaptive_mean_with(4, &c, 3, noisy);
+        let a = Runner::new(1).mean(&c, 3, noisy);
+        let b = Runner::new(4).mean(&c, 3, noisy);
         assert_eq!(a, b, "bootstrap CI must be thread-count invariant");
         assert!(a.half_width() <= 0.05);
         assert!(a.ci_lo <= a.mean && a.mean <= a.ci_hi);

@@ -33,6 +33,17 @@ pub enum ImdModel {
 }
 
 impl ImdModel {
+    /// The device a seeded trial protects: the paper evaluates both
+    /// devices and pools the results (§10), so trials alternate between
+    /// them by seed parity.
+    pub fn for_seed(seed: u64) -> Self {
+        if seed.is_multiple_of(2) {
+            ImdModel::VirtuosoIcd
+        } else {
+            ImdModel::ConcertoCrt
+        }
+    }
+
     /// The device configuration for this model.
     pub fn config(&self, channel: usize) -> ImdConfig {
         match self {

@@ -13,9 +13,7 @@
 
 use hb_testbed::checkpoint::{Journal, JournalKind, RunCtl};
 use hb_testbed::experiments::test_seed;
-use hb_testbed::montecarlo::{
-    adaptive_mean_ctl, adaptive_proportions_ctl, trial_seed, Estimate, McConfig, McRun,
-};
+use hb_testbed::montecarlo::{trial_seed, Estimate, McConfig, McRun, Runner};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -72,7 +70,7 @@ fn run_and_capture(
     let jpath = journal_path(&dir, master, 1, "p");
     let captured: Mutex<Option<Vec<u8>>> = Mutex::new(None);
     let capture_seed = trial_seed(master, boundary);
-    let run = adaptive_proportions_ctl(workers, c, master, Some(&ctl), |s| {
+    let run = Runner::with_ctl(workers, Some(&ctl)).proportions(c, master, |s| {
         if s == capture_seed {
             *captured.lock().unwrap() = std::fs::read(&jpath).ok();
         }
@@ -102,7 +100,7 @@ fn resume_from(
     let jpath = journal_path(&dir, master, 1, "p");
     std::fs::write(&jpath, journal_bytes).unwrap();
     let ctl = RunCtl::new(Some(dir.clone()), true, None);
-    let run = adaptive_proportions_ctl(workers, c, master, Some(&ctl), |s| [coin_trial(s)]);
+    let run = Runner::with_ctl(workers, Some(&ctl)).proportions(c, master, |s| [coin_trial(s)]);
     let final_journal = std::fs::read(&jpath).expect("resumed run rewrote the journal");
     let _ = std::fs::remove_dir_all(&dir);
     (run, final_journal)
@@ -114,10 +112,10 @@ fn journaling_does_not_perturb_a_healthy_run() {
     // change a single bit of a healthy run's output.
     let c = cfg(4, 256, 0.02);
     let seed = test_seed(17);
-    let bare = adaptive_proportions_ctl(1, &c, seed, None, |s| [coin_trial(s)]);
+    let bare = Runner::with_ctl(1, None).proportions(&c, seed, |s| [coin_trial(s)]);
     let dir = tmp_dir("healthy");
     let ctl = RunCtl::new(Some(dir.clone()), false, None);
-    let journaled = adaptive_proportions_ctl(1, &c, seed, Some(&ctl), |s| [coin_trial(s)]);
+    let journaled = Runner::with_ctl(1, Some(&ctl)).proportions(&c, seed, |s| [coin_trial(s)]);
     assert_eq!(bare.estimates, journaled.estimates);
     assert_eq!(bare.trials, journaled.trials);
     assert_eq!(bare.trace, journaled.trace);
@@ -174,7 +172,7 @@ fn resume_of_a_converged_run_stops_immediately() {
     let master = test_seed(23);
     let dir = tmp_dir("conv");
     let ctl = RunCtl::new(Some(dir.clone()), false, None);
-    let full = adaptive_proportions_ctl(1, &c, master, Some(&ctl), |s| [coin_trial(s)]);
+    let full = Runner::with_ctl(1, Some(&ctl)).proportions(&c, master, |s| [coin_trial(s)]);
     let jpath = journal_path(&dir, master, 1, "p");
     let final_journal = std::fs::read(&jpath).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -184,7 +182,7 @@ fn resume_of_a_converged_run_stops_immediately() {
     std::fs::create_dir_all(&dir2).unwrap();
     std::fs::write(journal_path(&dir2, master, 1, "p"), &final_journal).unwrap();
     let ctl2 = RunCtl::new(Some(dir2.clone()), true, None);
-    let resumed = adaptive_proportions_ctl(1, &c, master, Some(&ctl2), |s| {
+    let resumed = Runner::with_ctl(1, Some(&ctl2)).proportions(&c, master, |s| {
         *trial_ran.lock().unwrap() += 1;
         [coin_trial(s)]
     });
@@ -252,8 +250,9 @@ fn mismatched_master_or_config_restarts_from_scratch() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(journal_path(&dir, other_master, 1, "p"), &crashed).unwrap();
     let ctl = RunCtl::new(Some(dir.clone()), true, None);
-    let resumed = adaptive_proportions_ctl(1, &c, other_master, Some(&ctl), |s| [coin_trial(s)]);
-    let fresh = adaptive_proportions_ctl(1, &c, other_master, None, |s| [coin_trial(s)]);
+    let resumed =
+        Runner::with_ctl(1, Some(&ctl)).proportions(&c, other_master, |s| [coin_trial(s)]);
+    let fresh = Runner::with_ctl(1, None).proportions(&c, other_master, |s| [coin_trial(s)]);
     assert_eq!(resumed.estimates, fresh.estimates);
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -268,11 +267,12 @@ fn mismatched_master_or_config_restarts_from_scratch() {
         let jpath = journal_path(&dir, master, 1, "p");
         std::fs::write(&jpath, &crashed).unwrap();
         let ctl = RunCtl::new(Some(dir.clone()), true, None);
-        let run = adaptive_proportions_ctl(1, &shorter, master, Some(&ctl), |s| [coin_trial(s)]);
+        let run =
+            Runner::with_ctl(1, Some(&ctl)).proportions(&shorter, master, |s| [coin_trial(s)]);
         let _ = std::fs::remove_dir_all(&dir);
         run
     };
-    let fresh = adaptive_proportions_ctl(1, &shorter, master, None, |s| [coin_trial(s)]);
+    let fresh = Runner::with_ctl(1, None).proportions(&shorter, master, |s| [coin_trial(s)]);
     assert_eq!(resumed.estimates, fresh.estimates);
     assert_eq!(resumed.trials, 32, "clean restart re-ran every trial");
     assert_ne!(
@@ -298,7 +298,7 @@ fn quarantined_trials_degrade_gracefully_and_survive_resume() {
     // its seed but contributes nothing).
     let dir = tmp_dir("quar");
     let ctl = RunCtl::new(Some(dir.clone()), false, None);
-    let run = adaptive_proportions_ctl(1, &c, master, Some(&ctl), trial);
+    let run = Runner::with_ctl(1, Some(&ctl)).proportions(&c, master, trial);
     assert_eq!(run.trials, 64);
     assert_eq!(run.quarantines.len(), 1);
     let q = &run.quarantines[0];
@@ -314,7 +314,7 @@ fn quarantined_trials_degrade_gracefully_and_survive_resume() {
     assert_eq!(run.estimates[0].n, 63 * 16);
     // The healthy trials' pooled counts are exactly the healthy run minus
     // trial 5's contribution — the seed stream was not perturbed.
-    let healthy = adaptive_proportions_ctl(1, &c, master, None, |s| [coin_trial(s)]);
+    let healthy = Runner::with_ctl(1, None).proportions(&c, master, |s| [coin_trial(s)]);
     let (h5, _) = coin_trial(poison);
     let healthy_successes = (healthy.estimates[0].mean * healthy.estimates[0].n as f64).round();
     let degraded_successes = (run.estimates[0].mean * run.estimates[0].n as f64).round();
@@ -350,7 +350,7 @@ fn quarantined_trials_degrade_gracefully_and_survive_resume() {
     std::fs::create_dir_all(&dir2).unwrap();
     std::fs::write(journal_path(&dir2, master, 1, "p"), &crashed).unwrap();
     let ctl2 = RunCtl::new(Some(dir2.clone()), true, None);
-    let resumed = adaptive_proportions_ctl(1, &c, master, Some(&ctl2), trial);
+    let resumed = Runner::with_ctl(1, Some(&ctl2)).proportions(&c, master, trial);
     assert_eq!(resumed.estimates, run.estimates);
     assert_eq!(resumed.quarantines, run.quarantines);
     assert!(ctl2.health().degraded());
@@ -364,7 +364,7 @@ fn expired_deadline_truncates_at_a_checkpoint() {
     let master = test_seed(13);
     let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
     let ctl = RunCtl::new(None, false, Some(past));
-    let run = adaptive_proportions_ctl(1, &c, master, Some(&ctl), |s| [coin_trial(s)]);
+    let run = Runner::with_ctl(1, Some(&ctl)).proportions(&c, master, |s| [coin_trial(s)]);
     assert!(run.truncated);
     assert_eq!(run.trials, 0, "stopped before the first round");
     assert!(ctl.health().truncated);
@@ -373,8 +373,8 @@ fn expired_deadline_truncates_at_a_checkpoint() {
     let modest = cfg(4, 64, 1e-9);
     let future = std::time::Instant::now() + std::time::Duration::from_secs(3600);
     let ctl = RunCtl::new(None, false, Some(future));
-    let timed = adaptive_proportions_ctl(1, &modest, master, Some(&ctl), |s| [coin_trial(s)]);
-    let bare = adaptive_proportions_ctl(1, &modest, master, None, |s| [coin_trial(s)]);
+    let timed = Runner::with_ctl(1, Some(&ctl)).proportions(&modest, master, |s| [coin_trial(s)]);
+    let bare = Runner::with_ctl(1, None).proportions(&modest, master, |s| [coin_trial(s)]);
     assert_eq!(timed.estimates, bare.estimates);
     assert!(!timed.truncated && !ctl.health().flagged());
 }
@@ -390,7 +390,7 @@ fn adaptive_mean_resumes_bit_identically() {
     let jpath = journal_path(&dir, master, 1, "m");
     let captured: Mutex<Option<Vec<u8>>> = Mutex::new(None);
     let capture_seed = trial_seed(master, 16); // first trial of round 3
-    let reference: Estimate = adaptive_mean_ctl(1, &c, master, Some(&ctl), |s| {
+    let reference: Estimate = Runner::with_ctl(1, Some(&ctl)).mean(&c, master, |s| {
         if s == capture_seed {
             *captured.lock().unwrap() = std::fs::read(&jpath).ok();
         }
@@ -407,7 +407,7 @@ fn adaptive_mean_resumes_bit_identically() {
         let jpath2 = journal_path(&dir2, master, 1, "m");
         std::fs::write(&jpath2, &crashed).unwrap();
         let ctl2 = RunCtl::new(Some(dir2.clone()), true, None);
-        let resumed = adaptive_mean_ctl(workers, &c, master, Some(&ctl2), noisy);
+        let resumed = Runner::with_ctl(workers, Some(&ctl2)).mean(&c, master, noisy);
         assert_eq!(resumed, reference, "resumed mean at {workers} workers");
         assert_eq!(std::fs::read(&jpath2).unwrap(), ref_journal);
         let _ = std::fs::remove_dir_all(&dir2);
@@ -421,7 +421,7 @@ fn adaptive_mean_resumes_bit_identically() {
     std::fs::create_dir_all(&dir3).unwrap();
     std::fs::write(journal_path(&dir3, master, 1, "m"), &bad).unwrap();
     let ctl3 = RunCtl::new(Some(dir3.clone()), true, None);
-    let resumed = adaptive_mean_ctl(1, &c, master, Some(&ctl3), noisy);
+    let resumed = Runner::with_ctl(1, Some(&ctl3)).mean(&c, master, noisy);
     assert_eq!(resumed, reference);
     let _ = std::fs::remove_dir_all(&dir3);
 }

@@ -24,7 +24,7 @@ use hb_imd::commands::Command;
 use hb_imd::therapy::TherapyParams;
 use hb_testbed::defense::{run_defended_exchange, Defense, DefenseStats, ShieldDefense, DEFENSES};
 use hb_testbed::experiments::relay_one_exchange;
-use hb_testbed::montecarlo::{self, McConfig};
+use hb_testbed::montecarlo::{McConfig, Runner};
 use hb_testbed::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
 use proptest::prelude::*;
 
@@ -199,12 +199,12 @@ fn pooled_estimates_match_across_worker_counts() {
             z: hb_dsp::stats::Z_95,
             bootstrap_resamples: 50,
         };
-        let one = montecarlo::adaptive_proportion_with(1, &mc, seed, |s| {
-            (forge_once(defense, s) as u64, 1)
-        });
-        let four = montecarlo::adaptive_proportion_with(4, &mc, seed, |s| {
-            (forge_once(defense, s) as u64, 1)
-        });
+        let one = Runner::new(1)
+            .proportions(&mc, seed, |s| [(forge_once(defense, s) as u64, 1)])
+            .estimates[0];
+        let four = Runner::new(4)
+            .proportions(&mc, seed, |s| [(forge_once(defense, s) as u64, 1)])
+            .estimates[0];
         assert_eq!(
             one,
             four,
@@ -230,10 +230,9 @@ fn auth_claiming_defenses_bound_forged_success_below_5_percent() {
             z: hb_dsp::stats::Z_95,
             bootstrap_resamples: 50,
         };
-        let est =
-            montecarlo::adaptive_proportion_with(hb_testbed::parallel_threads(), &mc, seed, |s| {
-                (forge_once(defense, s) as u64, 1)
-            });
+        let est = Runner::new(hb_testbed::parallel_threads())
+            .proportions(&mc, seed, |s| [(forge_once(defense, s) as u64, 1)])
+            .estimates[0];
         assert!(
             est.below(0.05),
             "{} claims command authentication; forged success {est:?} must exclude 0.05",

@@ -31,9 +31,11 @@
 use hb_adversary::active::AttackerConfig;
 use hb_channel::geometry::Placement;
 use hb_channel::medium::{Medium, MediumConfig};
+use hb_dsp::checksum::fnv1a64;
 use hb_dsp::complex::C64;
 use hb_testbed::experiments::fig11::{success_probability, AttackGoal};
-use hb_testbed::experiments::{fig8, fig9};
+use hb_testbed::experiments::registry::{self, EvalCtx};
+use hb_testbed::experiments::{fig8, fig9, Effort};
 
 /// Exact-equality helper for the canonical pin of each constant. With
 /// `HB_BLESS=1` it prints a ready-to-paste `const` line and skips the
@@ -75,6 +77,87 @@ fn assert_matches_golden(label: &str, measured: f64, expected: f64) {
         measured.to_bits() == expected.to_bits(),
         "{label}: measured {measured:?} != golden {expected:?} \
          (deliberate numerics change? re-capture with HB_BLESS=1, see header)"
+    );
+}
+
+/// The [`assert_bits`] of whole artifacts: runs registry experiment
+/// `name` at [`Effort::tiny`] and seed 1 and pins the FNV-1a checksum of
+/// its JSON. These pins cover the adaptive Monte-Carlo engine end to end
+/// (one- and two-proportion runs, bootstrap means, the eavesdropper
+/// count), where the scalar goldens above pin single data points.
+fn assert_artifact(name: &str, const_name: &str, expected: u64) {
+    let exp = registry::find(name).expect("pinned experiments are registered");
+    let (artifact, _) = registry::run_one(exp, &EvalCtx::new(Effort::tiny(), 1));
+    let measured = fnv1a64(artifact.to_json().as_bytes());
+    if std::env::var_os("HB_BLESS").is_some() {
+        println!("const {const_name}: u64 = {measured:#018x};");
+        return;
+    }
+    println!("golden {const_name}: measured {measured:#018x}");
+    assert!(
+        measured == expected,
+        "{const_name}: artifact checksum {measured:#018x} != golden {expected:#018x} \
+         (deliberate numerics change? re-capture with HB_BLESS=1, see header)"
+    );
+}
+
+#[test]
+fn golden_artifact_fig8() {
+    assert_artifact("fig8", "GOLDEN_ARTIFACT_FIG8", GOLDEN_ARTIFACT_FIG8);
+}
+
+#[test]
+fn golden_artifact_fig9() {
+    assert_artifact("fig9", "GOLDEN_ARTIFACT_FIG9", GOLDEN_ARTIFACT_FIG9);
+}
+
+#[test]
+fn golden_artifact_fig12() {
+    assert_artifact("fig12", "GOLDEN_ARTIFACT_FIG12", GOLDEN_ARTIFACT_FIG12);
+}
+
+#[test]
+fn golden_artifact_ablation_jam_shape() {
+    assert_artifact(
+        "ablation-jam-shape",
+        "GOLDEN_ARTIFACT_ABLATION_JAM_SHAPE",
+        GOLDEN_ARTIFACT_ABLATION_JAM_SHAPE,
+    );
+}
+
+#[test]
+fn golden_artifact_ablation_wearability() {
+    assert_artifact(
+        "ablation-wearability",
+        "GOLDEN_ARTIFACT_ABLATION_WEARABILITY",
+        GOLDEN_ARTIFACT_ABLATION_WEARABILITY,
+    );
+}
+
+#[test]
+fn golden_artifact_ablation_rf() {
+    assert_artifact(
+        "ablation-rf",
+        "GOLDEN_ARTIFACT_ABLATION_RF",
+        GOLDEN_ARTIFACT_ABLATION_RF,
+    );
+}
+
+#[test]
+fn golden_artifact_resilience_matrix() {
+    assert_artifact(
+        "resilience-matrix",
+        "GOLDEN_ARTIFACT_RESILIENCE_MATRIX",
+        GOLDEN_ARTIFACT_RESILIENCE_MATRIX,
+    );
+}
+
+#[test]
+fn golden_artifact_defense_matrix() {
+    assert_artifact(
+        "defense-matrix",
+        "GOLDEN_ARTIFACT_DEFENSE_MATRIX",
+        GOLDEN_ARTIFACT_DEFENSE_MATRIX,
     );
 }
 
@@ -207,3 +290,15 @@ const GOLDEN_FIG11_LOC7_PRESENT: f64 = 0.0;
 const GOLDEN_MEDIUM_ACC_RE: f64 = -36.98071628594399;
 const GOLDEN_MEDIUM_ACC_IM: f64 = 758.3916918838473;
 const GOLDEN_MEDIUM_ACC_POW: f64 = 10372.866069730535;
+
+// --- Whole-artifact checksums (Effort::tiny, seed 1), captured with
+// HB_BLESS=1 before the Monte-Carlo engine's round loops were merged ---
+
+const GOLDEN_ARTIFACT_FIG8: u64 = 0x3a519287da2c300d;
+const GOLDEN_ARTIFACT_FIG9: u64 = 0x4f316a999cf1368c;
+const GOLDEN_ARTIFACT_FIG12: u64 = 0x400eaa5cf1d80bf5;
+const GOLDEN_ARTIFACT_ABLATION_JAM_SHAPE: u64 = 0xfeffb5da5596b0de;
+const GOLDEN_ARTIFACT_ABLATION_WEARABILITY: u64 = 0x3bb6e825ea655f06;
+const GOLDEN_ARTIFACT_ABLATION_RF: u64 = 0x01c6bed31e47c85c;
+const GOLDEN_ARTIFACT_RESILIENCE_MATRIX: u64 = 0xd540a389f2aca270;
+const GOLDEN_ARTIFACT_DEFENSE_MATRIX: u64 = 0x4736089e1e298f7d;

@@ -18,9 +18,16 @@ if [[ "${1:-}" == "--quick" ]]; then
 fi
 
 mkdir -p results
-next=2
-while [[ -e "results/BENCH_${next}.json" ]]; do
-    next=$((next + 1))
+# Next number = highest existing + 1, never a gap: the trajectory is
+# ordered by number, so each run must land after every earlier one.
+last=1
+for f in results/BENCH_*.json; do
+    n="${f#results/BENCH_}"
+    n="${n%.json}"
+    if [[ "$n" =~ ^[0-9]+$ ]] && ((n > last)); then
+        last=$n
+    fi
 done
+next=$((last + 1))
 ./target/release/perf_report --out "results/BENCH_${next}.json"
-echo "benchmark trajectory: $(ls results/BENCH_*.json | tr '\n' ' ')"
+echo "benchmark trajectory: $(ls results/BENCH_*.json | sort -t_ -k2 -n | tr '\n' ' ')"
